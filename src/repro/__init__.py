@@ -33,7 +33,6 @@ from repro.api import (
     ThreeWayReport,
     prepare,
     run_comparison,
-    run_three_way,
 )
 from repro.analysis.compare import Precision
 
@@ -44,7 +43,6 @@ __all__ = [
     "ThreeWayReport",
     "prepare",
     "run_comparison",
-    "run_three_way",
     "THREE_WAY_ANALYZERS",
     "Precision",
     "__version__",

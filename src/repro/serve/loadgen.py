@@ -27,8 +27,8 @@ Request mixes:
 - ``corpus`` — analyze/run/compare/lint over corpus programs; repeats
   hit the server's result cache, so this measures the cached fast
   path after warm-up;
-- ``unique`` — generated programs wrapped in per-request unique
-  binders, so every request misses the cache and pays for analysis;
+- ``unique`` — one generated program per request, each with its own
+  binder, so every request misses the cache and pays for analysis;
 - ``--replay LOG`` — the ``request`` payloads of a JSONL access log
   (`repro.serve.accesslog`), replayed in order.
 
@@ -50,6 +50,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -101,27 +102,36 @@ def corpus_mix() -> list[LoadRequest]:
     ]
 
 
-def unique_mix(count: int) -> list[LoadRequest]:
-    """``count`` analyze requests over generated programs, each with a
-    per-request unique binder so no two share a cache key — the
-    cache-busting mix that makes every request pay for analysis."""
-    analyzers = ("direct", "semantic-cps")
-    requests = []
-    for index in range(count):
-        binder = f"u{index}"
-        source = (
-            f"(let ({binder} {index % 7}) "
-            f"(let (b (* {binder} 3)) "
-            f"(let (c (+ b {index % 5})) "
-            f"(if0 c {binder} (- c {binder})))))"
-        )
-        requests.append(
-            LoadRequest("/v1/analyze", {
-                "program": source,
-                "analyzer": analyzers[index % len(analyzers)],
-            })
-        )
-    return requests
+def unique_request(index: int) -> LoadRequest:
+    """Analyze request ``index`` of the cache-busting mix: a generated
+    program whose binder is unique to ``index``, so no two requests
+    share a cache key and every one pays for analysis."""
+    binder = f"u{index}"
+    source = (
+        f"(let ({binder} {index % 7}) "
+        f"(let (b (* {binder} 3)) "
+        f"(let (c (+ b {index % 5})) "
+        f"(if0 c {binder} (- c {binder})))))"
+    )
+    return LoadRequest("/v1/analyze", {
+        "program": source,
+        "analyzer": ("direct", "semantic-cps")[index % 2],
+    })
+
+
+class UniqueMix(Sequence):
+    """The ``unique`` mix: item ``index`` is `unique_request(index)`,
+    built on demand.  Its length never wraps the loops'
+    ``mix[index % len(mix)]``, so a run of any length sends one
+    distinct program per request."""
+
+    def __len__(self) -> int:
+        return sys.maxsize
+
+    def __getitem__(self, index: int) -> LoadRequest:
+        if index < 0:
+            raise IndexError(index)
+        return unique_request(index)
 
 
 def replay_mix(log_path: "str | Path") -> list[LoadRequest]:
@@ -140,7 +150,7 @@ def replay_mix(log_path: "str | Path") -> list[LoadRequest]:
     return requests
 
 
-MIXES = {"corpus": corpus_mix, "unique": lambda: unique_mix(64)}
+MIXES = {"corpus": corpus_mix, "unique": UniqueMix}
 
 
 # -- the generator ----------------------------------------------------
@@ -175,7 +185,7 @@ def _make_client(
 
 def run_closed_loop(
     base_url: str,
-    mix: list[LoadRequest],
+    mix: Sequence[LoadRequest],
     concurrency: int = 4,
     total: int | None = None,
     duration_s: float | None = None,
@@ -240,7 +250,7 @@ def run_closed_loop(
 
 def run_open_loop(
     base_url: str,
-    mix: list[LoadRequest],
+    mix: Sequence[LoadRequest],
     rate: float,
     duration_s: float,
     concurrency: int = 8,

@@ -1,13 +1,16 @@
-"""Differential tests: the optimized plan tier replays the baseline
-tier bit for bit.
+"""Differential tests: a plan served from a shared `PlanCache` replays
+a freshly compiled plan bit for bit.
 
-`repro.machine.absplan.optimize_anf_plan` / `optimize_cps_plan` may
-fuse opcodes into superinstructions, pre-join interned constant
-abstract values, and precompute branch targets — but an optimized run
-must be indistinguishable from the baseline run: same answer value,
+A plan reaches a plan engine either straight from `compile_anf_plan` /
+`compile_cps_plan` (``plan_cache=None``) or through a `PlanCache`,
+which hands the same plan object to every later run of the same term:
+across number domains, analyzers, eval-cache settings and loop modes.
+That sharing is only sound if running a plan leaves no trace on it, so
+a run on a cached plan that has already been executed must be
+indistinguishable from a run on a fresh compile: same answer value,
 same final abstract store, same visit count, same loop cuts, same
 widenings (the full `AnalysisStats` dict).  These tests compare the
-two tiers over:
+two sources over:
 
 - the full corpus, for all four plan analyzers, over every number
   domain;
@@ -16,10 +19,9 @@ two tiers over:
 - 300 seeded random open terms (⊤ initial assumptions);
 - the `repro.perf` caches stacked on top.
 
-Work-budget agreement is part of the contract: when the baseline tier
-raises `BudgetExceeded`, the optimized tier must raise it too.  The
-structural tests at the bottom pin the optimizer's shape invariants
-(no instruction added, removed, or renumbered; idempotence).
+Work-budget agreement is part of the contract: when one run raises
+`BudgetExceeded`, every run must raise it.  Plan ≡ tree is pinned
+separately by ``tests/analysis/test_engine_differential.py``.
 """
 
 import random
@@ -28,10 +30,12 @@ import pytest
 
 from repro.analysis.common import BudgetExceeded
 from repro.analysis.delta import delta_store
-from repro.analysis.direct import analyze_direct
-from repro.analysis.polyvariant import analyze_polyvariant
-from repro.analysis.semantic_cps import analyze_semantic_cps
-from repro.analysis.syntactic_cps import analyze_syntactic_cps
+from repro.analysis.engine import (
+    DirectPlanAnalyzer,
+    PolyvariantPlanAnalyzer,
+    SemanticCpsPlanAnalyzer,
+    SyntacticCpsPlanAnalyzer,
+)
 from repro.anf import normalize
 from repro.corpus.programs import (
     PROGRAMS,
@@ -52,13 +56,7 @@ from repro.domains import (
 from repro.domains.store import AbsStore
 from repro.gen.random_terms import random_open_term
 from repro.lang.syntax import free_variables
-from repro.machine.absplan import (
-    PLAN_TIERS,
-    compile_anf_plan,
-    compile_cps_plan,
-    optimize_anf_plan,
-    optimize_cps_plan,
-)
+from repro.machine.absplan import PlanCache
 
 BUDGET = 100_000
 
@@ -70,10 +68,14 @@ DOMAINS = {
     "interval": IntervalDomain,
 }
 
+#: One cache for the whole module, so a plan is reused across the
+#: domain, analyzer and cache parametrizations, not just within a test.
+SHARED = PlanCache(capacity=4096)
+
 
 def _fingerprint(run):
     """Everything observable about one analysis run, or the budget
-    outcome — both tiers must produce the same tuple."""
+    outcome — every plan source must produce the same tuple."""
     try:
         result = run()
     except BudgetExceeded:
@@ -99,85 +101,77 @@ def _poly_fingerprint(run):
     )
 
 
+def _assert_sources_agree(make, fingerprint=_fingerprint):
+    """Run a fresh compile, then the plan the shared cache hands out
+    (a certain hit: constructing an analyzer looks its plan up)."""
+    fresh = fingerprint(lambda: make(None).run())
+    make(SHARED)
+    hits = SHARED.hits
+    shared = fingerprint(lambda: make(SHARED).run())
+    assert SHARED.hits > hits
+    assert shared == fresh
+
+
 def _assert_direct_agrees(term, domain, initial, cache=None):
-    fingerprints = [
-        _fingerprint(
-            lambda t=tier: analyze_direct(
-                term,
-                domain,
-                initial=initial,
-                max_visits=BUDGET,
-                cache=cache,
-                engine="plan",
-                plan_tier=t,
-            )
+    _assert_sources_agree(
+        lambda plans: DirectPlanAnalyzer(
+            term,
+            domain,
+            initial,
+            max_visits=BUDGET,
+            cache=cache,
+            plan_cache=plans,
         )
-        for tier in PLAN_TIERS
-    ]
-    assert fingerprints[0] == fingerprints[1]
+    )
 
 
 def _assert_semantic_agrees(
     term, domain, initial, loop_mode="top", unroll_bound=32, cache=None
 ):
-    fingerprints = [
-        _fingerprint(
-            lambda t=tier: analyze_semantic_cps(
-                term,
-                domain,
-                initial=initial,
-                loop_mode=loop_mode,
-                unroll_bound=unroll_bound,
-                max_visits=BUDGET,
-                cache=cache,
-                engine="plan",
-                plan_tier=t,
-            )
+    _assert_sources_agree(
+        lambda plans: SemanticCpsPlanAnalyzer(
+            term,
+            domain,
+            initial,
+            loop_mode=loop_mode,
+            unroll_bound=unroll_bound,
+            max_visits=BUDGET,
+            cache=cache,
+            plan_cache=plans,
         )
-        for tier in PLAN_TIERS
-    ]
-    assert fingerprints[0] == fingerprints[1]
+    )
 
 
 def _assert_syntactic_agrees(
     cterm, domain, cps_initial, loop_mode="top", unroll_bound=32, cache=None
 ):
-    fingerprints = [
-        _fingerprint(
-            lambda t=tier: analyze_syntactic_cps(
-                cterm,
-                domain,
-                initial=cps_initial,
-                loop_mode=loop_mode,
-                unroll_bound=unroll_bound,
-                max_visits=BUDGET,
-                cache=cache,
-                engine="plan",
-                plan_tier=t,
-            )
+    _assert_sources_agree(
+        lambda plans: SyntacticCpsPlanAnalyzer(
+            cterm,
+            domain,
+            cps_initial,
+            loop_mode=loop_mode,
+            unroll_bound=unroll_bound,
+            max_visits=BUDGET,
+            cache=cache,
+            plan_cache=plans,
         )
-        for tier in PLAN_TIERS
-    ]
-    assert fingerprints[0] == fingerprints[1]
+    )
 
 
 def _assert_polyvariant_agrees(term, domain, initial, k, cache=None):
-    fingerprints = [
-        _poly_fingerprint(
-            lambda t=tier: analyze_polyvariant(
-                term,
-                domain,
-                k=k,
-                initial=initial,
-                max_visits=BUDGET,
-                cache=cache,
-                engine="plan",
-                plan_tier=t,
-            )
-        )
-        for tier in PLAN_TIERS
-    ]
-    assert fingerprints[0] == fingerprints[1]
+    _assert_sources_agree(
+        lambda plans: PolyvariantPlanAnalyzer(
+            term,
+            domain,
+            k,
+            initial,
+            max_visits=BUDGET,
+            cache=cache,
+            plan_cache=plans,
+        ),
+        fingerprint=_poly_fingerprint,
+    )
 
 
 def _cps_side(term, lattice, initial):
@@ -240,7 +234,7 @@ def test_families(program):
 
 def test_loop_unroll_mode():
     """The `loop` handling must agree in `unroll` mode too (the bound
-    changes the answer, identically on both tiers)."""
+    changes the answer, identically for every plan source)."""
     program = loop_feeding_conditional(3)
     domain = ConstPropDomain()
     lattice = Lattice(domain)
@@ -256,9 +250,9 @@ def test_loop_unroll_mode():
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_corpus_with_caches_stacked(name):
-    """`repro.perf` caches on top of the optimized tier must not
-    change the (already cache-perturbed) statistics relative to the
-    baseline tier with the same caches."""
+    """`repro.perf` caches on top of a shared plan must not change the
+    (already cache-perturbed) statistics relative to a fresh plan with
+    the same caches."""
     domain = ConstPropDomain()
     program = PROGRAMS[name]
     lattice = Lattice(domain)
@@ -289,48 +283,3 @@ def test_random_open_terms(chunk):
         _assert_semantic_agrees(term, domain, initial, cache=cache)
         cterm, cps_initial = _cps_side(term, lattice, initial)
         _assert_syntactic_agrees(cterm, domain, cps_initial, cache=cache)
-
-
-# ----------------------------------------------------------------------
-# Optimizer shape invariants
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("name", sorted(PROGRAMS))
-def test_optimizer_preserves_plan_shape(name):
-    """The peephole passes specialize instructions in place: the pc
-    numbering, source-term labels, slot table, and constant pool are
-    untouched, so trace labels and error messages keep pointing at the
-    same program points on both tiers."""
-    term = PROGRAMS[name].term
-    base = compile_anf_plan(term)
-    opt = optimize_anf_plan(compile_anf_plan(term))
-    assert len(opt.code) == len(base.code)
-    assert opt.entry_pc == base.entry_pc
-    assert opt.terms == base.terms
-    assert opt.slot_names == base.slot_names
-    assert opt.consts == base.consts
-    assert opt.entries == base.entries
-    assert opt.optimized and not base.optimized
-
-    cterm = cps_transform(term)
-    cbase = compile_cps_plan(cterm)
-    copt = optimize_cps_plan(compile_cps_plan(cterm))
-    assert len(copt.code) == len(cbase.code)
-    assert copt.entry_pc == cbase.entry_pc
-    assert copt.terms == cbase.terms
-    assert copt.slot_names == cbase.slot_names
-    assert copt.consts == cbase.consts
-    assert copt.optimized and not cbase.optimized
-
-
-def test_optimizer_is_idempotent():
-    term = PROGRAMS["factorial"].term
-    once = optimize_anf_plan(compile_anf_plan(term))
-    again = optimize_anf_plan(once)
-    assert again is once
-
-    cterm = cps_transform(term)
-    conce = optimize_cps_plan(compile_cps_plan(cterm))
-    cagain = optimize_cps_plan(conce)
-    assert cagain is conce

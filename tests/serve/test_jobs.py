@@ -175,9 +175,12 @@ class TestValidation:
         assert info.value.code == "bad_request"
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ServeError) as info:
-            execute_request("analyze", {"program": "(add1 1)", "frob": 1})
-        assert info.value.code == "bad_request"
+        # A removed field gets no shim: it is as unknown as any other.
+        for kind in ("analyze", "compare"):
+            for extra in ({"frob": 1}, {"plan_tier": "opt"}):
+                with pytest.raises(ServeError) as info:
+                    execute_request(kind, {"program": "(add1 1)", **extra})
+                assert info.value.code == "bad_request", (kind, extra)
 
     def test_bad_enum_rejected(self):
         with pytest.raises(ServeError) as info:

@@ -7,9 +7,10 @@ import json
 import pytest
 
 from repro.serve.accesslog import AccessLog
-from repro.serve.jobs import ServiceDefaults, prepare_request
+from repro.serve.jobs import ServiceDefaults, cache_key, prepare_request
 from repro.serve.loadgen import (
     LOADGEN_SCHEMA,
+    MIXES,
     LoadRequest,
     RequestResult,
     RunOutcome,
@@ -20,7 +21,6 @@ from repro.serve.loadgen import (
     run_closed_loop,
     run_loadgen,
     run_open_loop,
-    unique_mix,
     validate_loadgen,
     validate_loadgen_file,
 )
@@ -50,14 +50,15 @@ class TestMixes:
             )
 
     def test_unique_mix_requests_have_distinct_cache_keys(self):
+        # The loops index the mix as ``mix[index % len(mix)]``; a run
+        # of 400 requests must send 400 distinct programs.
         defaults = ServiceDefaults()
+        mix = MIXES["unique"]()
         keys = {
-            prepare_request(
-                "analyze", request.payload, defaults
-            ).key
-            for request in unique_mix(16)
+            cache_key("analyze", mix[index % len(mix)].payload, defaults)
+            for index in range(400)
         }
-        assert len(keys) == 16
+        assert len(keys) == 400
 
     def test_replay_mix_reads_request_payloads(self, tmp_path):
         log_path = tmp_path / "access.jsonl"
